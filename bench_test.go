@@ -508,15 +508,9 @@ func BenchmarkTracingOverhead(b *testing.B) {
 // second. The "serial" case is the historical default 3D system and the
 // regression gate's anchor (scripts/bench.sh holds it within 10% of the
 // committed baseline). The "stacked" case is the four-layer stacked-CPU
-// machine — the config the -shards flag targets — run serially, and
-// "shards-2"/"shards-4" run the same machine with its network phase
-// fanned out over layer-shard goroutines; comparing their ns/op against
-// "stacked" gives the intra-run speedup (bench.sh prints it). Shard
-// counts beyond GOMAXPROCS still measure correctly — the goroutines just
-// time-slice — so the entries are meaningful even on small machines,
-// merely flat.
+// machine, where the network tick dominates host time.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	run := func(b *testing.B, stacked bool, shards int) {
+	run := func(b *testing.B, stacked bool) {
 		cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
 		if stacked {
 			cfg.Layers = 4
@@ -527,20 +521,14 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer sim.Close()
-		if shards > 1 {
-			sim.SetShards(shards)
-		}
 		sim.Warm()
 		sim.Start()
 		b.ResetTimer()
 		sim.Run(uint64(b.N))
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
 	}
-	b.Run("serial", func(b *testing.B) { run(b, false, 1) })
-	b.Run("stacked", func(b *testing.B) { run(b, true, 1) })
-	b.Run("shards-2", func(b *testing.B) { run(b, true, 2) })
-	b.Run("shards-4", func(b *testing.B) { run(b, true, 4) })
+	b.Run("serial", func(b *testing.B) { run(b, false) })
+	b.Run("stacked", func(b *testing.B) { run(b, true) })
 }
 
 func BenchmarkThermalSolver(b *testing.B) {

@@ -751,35 +751,28 @@ func dtmStudy(opt nim.Options) {
 	fmt.Println("(duty-cycling sheds the cores' 8 W budgets and is the policy that cuts the\n peak; veto/drowsy/reroute buy latency headroom and leakage, not degrees)")
 }
 
-// profileStudy answers the question PR 8's benchmarks left open: is the
-// network phase (the part sharding parallelizes) actually where the host's
-// wall-clock goes, and how much of a sharded round is barrier wait? It runs
-// mgrid on CMP-DNUCA-3D — offset and CPU-stacked placements, serial and
-// sharded — with the host profiler attached and tabulates per-phase shares
-// of loop time plus the shard barrier-wait fraction. The numbers are
-// wall-clock on this host; the simulated Results stay bit-identical across
-// all four rows (the profiler observes the simulator, not the chip).
+// profileStudy shows where the host's wall-clock goes in one simulation:
+// it runs mgrid on CMP-DNUCA-3D — offset and CPU-stacked placements —
+// with the host profiler attached and tabulates per-phase shares of loop
+// time. The numbers are wall-clock on this host; the simulated Results
+// are bit-identical to unprofiled runs (the profiler observes the
+// simulator, not the chip).
 func profileStudy(opt nim.Options) {
-	header("Host profile: phase dominance and shard barrier wait (mgrid, CMP-DNUCA-3D)")
-	// The stacked four-layer machine is the config the -shards flag is
-	// aimed at (and the one PR 8's benchmarks measured).
+	header("Host profile: phase dominance (mgrid, CMP-DNUCA-3D)")
 	stacked := nim.DefaultConfig(nim.CMPDNUCA3D)
 	stacked.Layers = 4
 	stacked.StackCPUs = true
 	modes := []struct {
-		name   string
-		cfg    nim.Config
-		shards int
+		name string
+		cfg  nim.Config
 	}{
-		{"offset serial", nim.DefaultConfig(nim.CMPDNUCA3D), 1},
-		{"stacked serial", stacked, 1},
-		{"stacked shards-2", stacked, 2},
-		{"stacked shards-4", stacked, 4},
+		{"offset", nim.DefaultConfig(nim.CMPDNUCA3D)},
+		{"stacked", stacked},
 	}
-	fmt.Printf("%-18s %7s %8s %6s %7s %6s %7s %6s %9s\n",
-		"", "shards", "Mcyc/s", "cpu%", "proto%", "net%", "engine%", "rest%", "barrier%")
-	csvRows := [][]string{{"mode", "shards", "mcycles_per_sec", "cpu_share", "protocol_share",
-		"net_share", "engine_share", "rest_share", "barrier_wait_frac"}}
+	fmt.Printf("%-18s %8s %6s %7s %6s %7s %6s\n",
+		"", "Mcyc/s", "cpu%", "proto%", "net%", "engine%", "rest%")
+	csvRows := [][]string{{"mode", "mcycles_per_sec", "cpu_share", "protocol_share",
+		"net_share", "engine_share", "rest_share"}}
 	for _, m := range modes {
 		bench, ok := nim.BenchmarkByName("mgrid", m.cfg.NumCPUs)
 		if !ok {
@@ -790,18 +783,12 @@ func profileStudy(opt nim.Options) {
 			fatal(err)
 		}
 		s.Warm()
-		got := s.SetShards(m.shards)
-		if got != m.shards {
-			fatal(fmt.Errorf("%s: wanted %d shards, got %d", m.name, m.shards, got))
-		}
-		rec := s.AttachProfile()
-		_ = rec
+		s.AttachProfile()
 		s.Start()
 		s.Run(opt.WarmCycles)
 		s.ResetStats()
 		s.Run(opt.MeasureCycles)
 		r := s.Results()
-		s.Close()
 		if r.Profile == nil {
 			fatal(fmt.Errorf("%s: no profile attached", m.name))
 		}
@@ -818,21 +805,17 @@ func profileStudy(opt nim.Options) {
 		}
 		cpu := share("cpu")
 		proto := share("protocol")
-		net := share("net-serial", "net-sharded")
+		net := share("net-serial")
 		engine := share("engine")
 		rest := share("thermal", "sampler", "other")
-		barrier := 0.0
-		if r.Profile.Shards != nil {
-			barrier = r.Profile.Shards.BarrierWaitFrac
-		}
-		fmt.Printf("%-18s %7d %8.2f %5.1f%% %6.1f%% %5.1f%% %6.1f%% %5.1f%% %8.1f%%\n",
-			m.name, got, r.Profile.CyclesPerSec/1e6,
-			100*cpu, 100*proto, 100*net, 100*engine, 100*rest, 100*barrier)
-		csvRows = append(csvRows, []string{m.name, strconv.Itoa(got),
-			f1(r.Profile.CyclesPerSec / 1e6), f1(cpu), f1(proto), f1(net), f1(engine), f1(rest), f1(barrier)})
+		fmt.Printf("%-18s %8.2f %5.1f%% %6.1f%% %5.1f%% %6.1f%% %5.1f%%\n",
+			m.name, r.Profile.CyclesPerSec/1e6,
+			100*cpu, 100*proto, 100*net, 100*engine, 100*rest)
+		csvRows = append(csvRows, []string{m.name,
+			f1(r.Profile.CyclesPerSec / 1e6), f1(cpu), f1(proto), f1(net), f1(engine), f1(rest)})
 	}
 	writeCSV("profile_phases", csvRows)
-	fmt.Println("(shares are fractions of Engine.Run wall time and sum to ~100%; barrier% is\n the fraction of sharded-round worker time spent waiting at the cycle barrier)")
+	fmt.Println("(shares are fractions of Engine.Run wall time and sum to ~100%)")
 }
 
 func intersect(names, allowed []string) []string {

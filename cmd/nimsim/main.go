@@ -59,11 +59,10 @@ func main() {
 		dtmPol   = flag.String("dtm", "", "dynamic thermal management policy: none, all, or a comma list of veto, drowsy, duty, reroute (implies -thermal)")
 		trip     = flag.Float64("trip", 0, "DTM trip temperature in C (0 = the 85 C default)")
 		duty     = flag.String("duty", "", "DTM duty-cycle pattern N/M: a hot core issues on N of every M slots (default 1/4)")
-		shards   = flag.Int("shards", 1, "run the network phase sharded across this many layer goroutines (results are bit-identical to -shards 1; a -trace run falls back to serial)")
 		profile  = flag.Bool("profile", false, "attach the host-side phase profiler and print the wall-clock attribution table (non-perturbing: results are bit-identical)")
 		profOut  = flag.String("proftrace", "", "write the profiler's host timeline as Chrome trace-event JSON (throughput + phase-share tracks; implies -profile)")
 		digestIv = flag.Uint64("digest", 0, "fold a state digest every N cycles and print the per-subsystem chain digests (non-perturbing: results are bit-identical)")
-		diverge  = flag.String("diverge", "", "run a variant of this configuration side by side (comma-separated k=v overrides: scheme, bench, seed, shards, layers, pillars, l2, stack, dtm, trip, duty) and bisect the digest streams to the first divergent cycle and subsystem")
+		diverge  = flag.String("diverge", "", "run a variant of this configuration side by side (comma-separated k=v overrides: scheme, bench, seed, layers, pillars, l2, stack, dtm, trip, duty) and bisect the digest streams to the first divergent cycle and subsystem")
 		version  = flag.Bool("version", false, "print build and host provenance, then exit")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		srvAddr  = flag.String("serve", "", "run as the telemetry daemon on this address instead of a one-shot simulation (POST /jobs, SSE streams, /metrics, /healthz)")
@@ -95,7 +94,7 @@ func main() {
 	}
 
 	opts := machineOpts{
-		scheme: *scheme, bench: *bench, seed: *seed, shards: *shards,
+		scheme: *scheme, bench: *bench, seed: *seed,
 		layers: *layers, pillars: *pillars, l2mb: *l2mb, stack: *stack,
 		dtm: *dtmPol, trip: *trip, duty: *duty,
 	}
@@ -113,12 +112,6 @@ func main() {
 	sim, err := buildSimulation(cfg, *bench, *mix, *traceIn, *seed)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	defer sim.Close()
-	if *shards > 1 {
-		// Purely a wall-clock knob: results are bit-identical to serial.
-		// An attached tracer (below) forces the serial path automatically.
-		sim.SetShards(*shards)
 	}
 	// The span recorder attaches before the settle window so transactions
 	// in flight across the stats reset carry ledgers; ResetStats resets its
@@ -343,7 +336,6 @@ type machineOpts struct {
 	scheme  string
 	bench   string
 	seed    uint64
-	shards  int
 	layers  int
 	pillars int
 	l2mb    int
@@ -389,8 +381,6 @@ func (o *machineOpts) set(key, val string) error {
 		o.bench = val
 	case "seed":
 		o.seed, err = strconv.ParseUint(val, 10, 64)
-	case "shards":
-		o.shards, err = strconv.Atoi(val)
 	case "layers":
 		o.layers, err = strconv.Atoi(val)
 	case "pillars":
@@ -406,7 +396,7 @@ func (o *machineOpts) set(key, val string) error {
 	case "duty":
 		o.duty = val
 	default:
-		return fmt.Errorf("unknown override %q (want scheme, bench, seed, shards, layers, pillars, l2, stack, dtm, trip, duty)", key)
+		return fmt.Errorf("unknown override %q (want scheme, bench, seed, layers, pillars, l2, stack, dtm, trip, duty)", key)
 	}
 	if err != nil {
 		return fmt.Errorf("override %s=%q: %v", key, val, err)
@@ -440,7 +430,6 @@ func runDiverge(base machineOpts, baseCfg nim.Config, spec string,
 			WarmCycles:    warm,
 			MeasureCycles: measure,
 			Seed:          o.seed,
-			Shards:        o.shards,
 		}
 		if wantThermal || cfg.DTMActive() {
 			j.ThermalInterval = tinter

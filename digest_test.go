@@ -3,7 +3,6 @@ package nim_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	nim "repro"
@@ -11,11 +10,9 @@ import (
 
 // digestRun executes one short run with the full observability stack the
 // digest contract must coexist with — DTM (which subsumes the thermal
-// tracker) and the metrics sampler — optionally sharded and optionally
-// with the digest recorder attached. 3D schemes use the stacked
-// four-layer machine so the serial and sharded variants describe the
-// same hardware and their digest streams are comparable.
-func digestRun(t testing.TB, scheme nim.Scheme, shards int, attach bool) nim.Results {
+// tracker) and the metrics sampler — optionally with the digest recorder
+// attached. 3D schemes use the stacked four-layer machine.
+func digestRun(t testing.TB, scheme nim.Scheme, attach bool) nim.Results {
 	cfg := nim.DefaultConfig(scheme)
 	if cfg.Layers > 1 {
 		cfg.Layers = 4
@@ -27,11 +24,7 @@ func digestRun(t testing.TB, scheme nim.Scheme, shards int, attach bool) nim.Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	sim.Warm()
-	if shards > 1 {
-		sim.SetShards(shards)
-	}
 	sim.Start()
 	sim.Run(5_000)
 	sim.ResetStats()
@@ -48,39 +41,109 @@ func digestRun(t testing.TB, scheme nim.Scheme, shards int, attach bool) nim.Res
 	return sim.Results()
 }
 
-// TestDigestShardInvariance is the digest layer's reason to exist: a
-// sharded run's digest stream — every snapshot, every lane — is
-// byte-identical to the serial run's, for every scheme, with DTM,
-// thermal, and the sampler all attached. Any divergence the sharded
-// network path ever introduces shows up here as the exact cycle and
-// subsystem that first differed.
-func TestDigestShardInvariance(t *testing.T) {
+// digestJob is one sweep job on the scheme's machine (3D schemes on the
+// stacked four-layer chip) with thermal, DTM "all", the sampler and a
+// digest recorder attached — the runner's full instrument stack.
+func digestJob(scheme nim.Scheme) nim.SweepJob {
+	cfg := nim.DefaultConfig(scheme)
+	if cfg.Layers > 1 {
+		cfg.Layers = 4
+		cfg.StackCPUs = true
+	}
+	cfg.DTMPolicy = "all"
+	return nim.SweepJob{
+		Config:          cfg,
+		Benchmark:       "mgrid",
+		WarmCycles:      5_000,
+		MeasureCycles:   20_000,
+		Seed:            3,
+		SampleInterval:  777,
+		ThermalInterval: 500,
+		DigestInterval:  1_000,
+	}
+}
+
+// runDigestJobs runs jobs one after another and fails on any job error.
+func runDigestJobs(t *testing.T, jobs ...nim.SweepJob) []nim.SweepResult {
+	t.Helper()
+	res := nim.RunSweep(jobs, 1, nil)
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if r.Results.Digests == nil || len(r.Results.Digests.Stream) == 0 {
+			t.Fatal("job produced no digest stream")
+		}
+	}
+	return res
+}
+
+// sameStream fails the test at the first snapshot where two digest
+// streams disagree, naming the cycle and subsystem.
+func sameStream(t *testing.T, what string, a, b []nim.DigestRecord) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: streams hold %d and %d records", what, len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s: streams diverge at record %d (cycle %d):\n%+v\n%+v", what, i, a[i].Cycle, a[i], b[i])
+		}
+	}
+}
+
+// TestDigestChunkedRunInvariance pins chunked execution as a pure
+// execution strategy: a job advanced in bounded Run calls (a Progress hook
+// makes the runner chunk each window, as the daemon's jobs are) follows
+// the same state trajectory — every snapshot, every lane — as the same
+// job run in one call per window, and produces byte-identical Results and
+// sampler series, for every scheme.
+func TestDigestChunkedRunInvariance(t *testing.T) {
 	for _, scheme := range nim.Schemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
-			serial := digestRun(t, scheme, 1, true)
-			if serial.Digests == nil || serial.Digests.Records == 0 {
-				t.Fatal("serial run produced no digest stream")
+			single := digestJob(scheme)
+			chunked := single
+			calls := 0
+			chunked.Progress = func(float64) { calls++ }
+			res := runDigestJobs(t, single, chunked)
+			if calls < 64 {
+				t.Fatalf("Progress called %d times: the window was not chunked", calls)
 			}
-			for _, shards := range []int{2, 4} {
-				sharded := digestRun(t, scheme, shards, true)
-				if sharded.Digests == nil {
-					t.Fatalf("shards=%d run produced no digest stream", shards)
-				}
-				if sharded.Digests.Digest != serial.Digests.Digest {
-					t.Errorf("shards=%d final digest %s != serial %s",
-						shards, sharded.Digests.Digest, serial.Digests.Digest)
-				}
-				a, b := serial.Digests.Stream, sharded.Digests.Stream
-				if len(a) != len(b) {
-					t.Fatalf("shards=%d stream has %d records, serial %d", shards, len(b), len(a))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("shards=%d stream diverges at record %d (cycle %d):\nserial  %+v\nsharded %+v",
-							shards, i, a[i].Cycle, a[i], b[i])
-					}
-				}
+			sameStream(t, "single-call vs chunked", res[0].Results.Digests.Stream, res[1].Results.Digests.Stream)
+			aj, _ := json.Marshal(res[0].Results)
+			bj, _ := json.Marshal(res[1].Results)
+			if !bytes.Equal(aj, bj) {
+				t.Fatalf("chunking changed results:\nsingle  %s\nchunked %s", aj, bj)
 			}
+			var as, bs bytes.Buffer
+			if err := res[0].Samples.WriteCSV(&as); err != nil {
+				t.Fatal(err)
+			}
+			if err := res[1].Samples.WriteCSV(&bs); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(as.Bytes(), bs.Bytes()) {
+				t.Fatalf("chunking changed the sampler series:\nsingle:\n%s\nchunked:\n%s", as.Bytes(), bs.Bytes())
+			}
+		})
+	}
+}
+
+// TestDigestProfileInvariance: the host profiler reads the clock around
+// every event and ticker, and nothing it measures may reach simulated
+// state. A profiled job's digest stream equals the unprofiled job's,
+// snapshot for snapshot, for every scheme.
+func TestDigestProfileInvariance(t *testing.T) {
+	for _, scheme := range nim.Schemes() {
+		t.Run(scheme.String(), func(t *testing.T) {
+			plain := digestJob(scheme)
+			profiled := plain
+			profiled.Profile = true
+			res := runDigestJobs(t, plain, profiled)
+			if res[1].Results.Profile == nil {
+				t.Fatal("profiled job returned no Profile")
+			}
+			sameStream(t, "unprofiled vs profiled", res[0].Results.Digests.Stream, res[1].Results.Digests.Stream)
 		})
 	}
 }
@@ -90,25 +153,19 @@ func TestDigestShardInvariance(t *testing.T) {
 // bit-identical with the Digests report stripped — the same bar the
 // profiler meets (TestProfileDoesNotPerturb).
 func TestDigestDoesNotPerturb(t *testing.T) {
-	check := func(t *testing.T, scheme nim.Scheme, shards int) {
-		plain := digestRun(t, scheme, shards, false)
-		observed := digestRun(t, scheme, shards, true)
-		if observed.Digests == nil {
-			t.Fatal("attached run returned no Digests")
-		}
-		observed.Digests = nil
-		pj, _ := json.Marshal(plain)
-		oj, _ := json.Marshal(observed)
-		if !bytes.Equal(pj, oj) {
-			t.Fatalf("digest attachment changed results:\nplain    %s\nobserved %s", pj, oj)
-		}
-	}
 	for _, scheme := range nim.Schemes() {
-		t.Run(scheme.String(), func(t *testing.T) { check(t, scheme, 1) })
-	}
-	for _, shards := range []int{2, 4} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			check(t, nim.CMPDNUCA3D, shards)
+		t.Run(scheme.String(), func(t *testing.T) {
+			plain := digestRun(t, scheme, false)
+			observed := digestRun(t, scheme, true)
+			if observed.Digests == nil {
+				t.Fatal("attached run returned no Digests")
+			}
+			observed.Digests = nil
+			pj, _ := json.Marshal(plain)
+			oj, _ := json.Marshal(observed)
+			if !bytes.Equal(pj, oj) {
+				t.Fatalf("digest attachment changed results:\nplain    %s\nobserved %s", pj, oj)
+			}
 		})
 	}
 }
@@ -127,7 +184,6 @@ func TestDigestRecordPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	sim.Warm()
 	sim.Start()
 	sim.Run(2_000)

@@ -23,10 +23,10 @@ type digestFolder interface{ DigestFold(*digest.Recorder) }
 //
 // The recorder is a pure observer — the walker reads simulator state
 // and writes only recorder-owned arrays — so an attached run is
-// bit-identical to a detached one (TestDigestDoesNotPerturb), and
-// sharding is unaffected: the walker runs from an engine ticker, after
-// the network phase's shard barrier, where serial and sharded state
-// coincide by the bit-identical contract (TestDigestShardInvariance).
+// bit-identical to a detached one (TestDigestDoesNotPerturb). Being a
+// registered ticker that is never idle, it switches idle-cycle skipping
+// off; TestDigestIdleSkipInvariance folds the walker outside the engine
+// instead to show skipped and stepped runs reach identical state.
 func (s *System) AttachDigest(interval uint64) *digest.Recorder {
 	if s.digestRec != nil {
 		return s.digestRec

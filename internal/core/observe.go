@@ -118,34 +118,28 @@ func (s *System) WriteThermalMap(w io.Writer) error {
 }
 
 // refreshProbe rebuilds the probe from the attached tracer and thermal
-// sinks (either, both teed, or detached), then reconciles sharding: an
-// attached tracer forces the serial path (global cycle order), and
-// detaching it restores the requested shard count.
+// sinks (either, both teed, or detached).
 func (s *System) refreshProbe() {
 	var sink obs.Sink
 	if s.thermalT != nil {
 		sink = s.thermalT.Sink()
 	}
-	sink = obs.Tee(s.traceSink, sink)
-	s.AttachProbe(obs.NewProbe(sink))
-	s.applySharding()
+	s.AttachProbe(obs.NewProbe(obs.Tee(s.traceSink, sink)))
 }
 
 // AttachProfile attaches the host-side phase profiler ("flight
 // recorder"): from now on every Engine.Run is wall-clock-attributed
 // across the loop's phases — CPU pipeline events vs protocol/cluster
 // events in the engine drain (split by typed event kind), the network
-// tick serial vs sharded (the fabric self-times it), the thermal and
-// sampler tickers, and the engine's own bookkeeping as the residual —
-// plus per-shard busy/barrier-wait time when sharding is in force, a
-// rolling cycles/sec window series, and allocation deltas. Results gains
-// the Profile report.
+// tick, the thermal and sampler tickers, and the engine's own bookkeeping
+// as the residual — plus a rolling cycles/sec window series and
+// allocation deltas. Results gains the Profile report.
 //
 // Measurement is host-side only: monotonic clock deltas folded into
 // value-typed accumulators, nothing fed back into simulation state — so
 // an attached run is bit-identical to a detached one (the contract is
-// pinned by TestProfileDoesNotPerturb), idle-cycle skipping stays
-// engaged, and sharding is unaffected. Attach any time; idempotent
+// pinned by TestProfileDoesNotPerturb) and idle-cycle skipping stays
+// engaged. Attach any time; idempotent
 // (subsequent calls return the same recorder). Attach before Warm to
 // profile the whole run, since attribution starts at attachment.
 func (s *System) AttachProfile() *prof.Recorder {
@@ -155,7 +149,6 @@ func (s *System) AttachProfile() *prof.Recorder {
 	rec := prof.NewRecorder()
 	s.hostProf = rec
 	s.Engine.SetProfiler(rec, eventPhase, tickerPhase)
-	s.Fab.SetProfiler(rec)
 	return rec
 }
 
@@ -174,14 +167,11 @@ func eventPhase(kind uint8, closure bool) prof.Phase {
 	return prof.PhaseProtocol
 }
 
-// tickerPhase classifies a registered ticker for the profiler. The
-// fabric is PhaseSelf: it times its own tick so the serial/sharded split
-// is attributed correctly (the engine cannot see which path a cycle
-// took).
+// tickerPhase classifies a registered ticker for the profiler.
 func tickerPhase(t sim.Ticker) prof.Phase {
 	switch t.(type) {
 	case *fabric.Fabric:
-		return prof.PhaseSelf
+		return prof.PhaseNet
 	case *obs.ThermalTracker:
 		return prof.PhaseThermal
 	case *obs.Sampler:

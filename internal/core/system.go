@@ -139,11 +139,6 @@ type System struct {
 	// fields and fabric traffic counters; see StatsRegistry.
 	statsReg *stats.Set
 
-	// shardsWanted is the shard count requested via SetShards; the count
-	// actually in force also depends on the attachments that require a
-	// global cycle order (see applySharding).
-	shardsWanted int
-
 	// digestRec, when non-nil, is the attached state-digest recorder
 	// (see AttachDigest): a periodic ticker folding every subsystem into
 	// per-subsystem hash chains. A pure observer — it reads simulator
@@ -152,8 +147,8 @@ type System struct {
 	digestRec *digest.Recorder
 
 	// hostProf, when non-nil, is the host-side phase profiler (see
-	// AttachProfile): wall-clock attribution across the loop's phases,
-	// shard barrier telemetry, and throughput windows. Host-side only —
+	// AttachProfile): wall-clock attribution across the loop's phases
+	// and throughput windows. Host-side only —
 	// it never influences simulation state, so Results (minus the
 	// Profile field itself) are bit-identical with it attached.
 	hostProf *prof.Recorder
@@ -273,49 +268,6 @@ func (s *System) Start() {
 // Run advances the machine by the given number of cycles.
 func (s *System) Run(cycles uint64) { s.Engine.Run(cycles) }
 
-// SetShards requests spatial domain decomposition of the network phase
-// across n shards — one shard per contiguous block of device layers,
-// ticked on its own goroutine with the dTDMA pillar crossings as the only
-// inter-shard edges — and returns the shard count actually in force.
-//
-// The determinism contract: a sharded run is bit-identical to a serial
-// run — the same Results, the same probe event sequence, the same
-// config.CanonicalHash-keyed cache entry — for every scheme, with
-// thermal, DTM, and sampling attached. Sharding is therefore purely a
-// wall-clock knob. The contract is pinned by TestShardedDeterminism.
-//
-// n is clamped to the layer count. The system falls back to serial
-// execution (returning 1) when n <= 1, on single-layer chips, in the
-// VerticalNoC ablation (inter-layer router links break layer isolation),
-// and while a tracer is attached (AttachTracer) — an attached tracer
-// wants the global cycle order observable, and detaching it re-enables
-// sharding. A system that ever sharded should be released with Close.
-func (s *System) SetShards(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	s.shardsWanted = n
-	return s.applySharding()
-}
-
-// Shards returns the shard count currently in force (1 when serial).
-func (s *System) Shards() int { return s.Fab.Shards() }
-
-// Close releases the shard worker goroutines. Safe on a never-sharded
-// system; idempotent.
-func (s *System) Close() { s.Fab.Close() }
-
-// applySharding reconciles the requested shard count with the
-// attachments that force serial execution; refreshProbe re-runs it on
-// every tracer change.
-func (s *System) applySharding() int {
-	want := s.shardsWanted
-	if want > 1 && (s.traceSink != nil || s.Cfg.VerticalNoC) {
-		want = 1
-	}
-	return s.Fab.SetShards(want)
-}
-
 // ResetStats discards everything measured so far (warm-up) while keeping
 // all architectural state.
 func (s *System) ResetStats() {
@@ -340,18 +292,6 @@ func (s *System) totalInstrs() uint64 {
 // deliver is the single network sink: it dispatches by the message's
 // addressing, so a node hosting both a CPU and a cluster controller (a CPU
 // placed mid-cluster) demultiplexes correctly.
-//
-// Sharding invariant (load-bearing — see fabric.replayStaged): every
-// synchronous send performed beneath deliver originates at the delivering
-// node itself. Cluster and memory-controller handlers only schedule
-// engine events; the CPU handler's immediate responses (probe reissue,
-// second search step, memory fetch) all send from t.cpu.pos — the node
-// that was just delivered to. A delivery therefore never mutates another
-// router's same-cycle state, which is what lets the sharded fabric park
-// ejections during the parallel router phase and replay them at the
-// horizon barrier bit-identically. Any new synchronous send below this
-// point must preserve that property (or schedule an event instead);
-// TestShardedDeterminism is the tripwire.
 func (s *System) deliver(p *noc.Packet, cycle uint64) {
 	m := p.Payload.(*Msg)
 	switch {
@@ -782,7 +722,7 @@ type Results struct {
 	DTM *dtm.Report `json:",omitempty"`
 
 	// Profile is the host-side flight-recorder readout — per-phase
-	// wall-clock shares, shard barrier-wait, throughput windows — filled
+	// wall-clock shares, throughput windows — filled
 	// only when the profiler was attached (see AttachProfile); nil
 	// otherwise. Unlike every other field it describes the simulator,
 	// not the simulated chip, and is therefore host- and load-dependent:

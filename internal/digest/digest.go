@@ -104,7 +104,7 @@ type LaneDigest struct {
 
 // Report is the JSON-facing summary attached to Results.Digests. The
 // full snapshot stream stays in memory only (the bisector and the
-// shard-invariance test consume it); serializing thousands of records
+// invariance tests consume it); serializing thousands of records
 // into every Results blob would bloat the result cache for no reader.
 type Report struct {
 	// Interval is the snapshot period in cycles.
@@ -155,7 +155,7 @@ func (r *Recorder) Interval() uint64 { return r.interval }
 // SetWalker installs the state-traversal function invoked at each
 // snapshot. The walker must call BeginLane for each lane in order and
 // fold that subsystem's state; it runs after the engine drains the
-// cycle's events, so it always observes post-barrier serial state.
+// cycle's events, so it observes the state the cycle's tickers see.
 func (r *Recorder) SetWalker(walk func(*Recorder)) { r.walk = walk }
 
 // BeginLane switches folding to lane l. Subsequent Fold calls extend

@@ -80,13 +80,6 @@ func (p *TxPort) CanAccept(v int) bool { return !p.b.txs[p.layer].full() }
 func (p *TxPort) Accept(f noc.Flit, v int, cycle uint64) {
 	f.SetArrived(cycle)
 	p.b.txs[p.layer].push(f)
-	if p.b.deferPending {
-		// Parallel router phase of a sharded fabric: each transmitter
-		// buffer is written only by its own layer's router, but pending and
-		// the busy hook are bus-global state shared by every layer —
-		// EndDeferredPending reconciles them at the horizon barrier.
-		return
-	}
 	if p.b.pending == 0 && p.b.onBusy != nil {
 		p.b.onBusy()
 	}
@@ -122,11 +115,6 @@ type Bus struct {
 	// onBusy/onIdle fire on the pending 0->1 and 1->0 edges, letting the
 	// fabric keep a busy-bus count instead of scanning every bus.
 	onBusy, onIdle func()
-
-	// deferPending, when set, makes Accept skip the pending counter and
-	// the busy hook so routers on different layers may push into their
-	// transmitters concurrently; see BeginDeferredPending.
-	deferPending bool
 }
 
 // NewBus creates a pillar bus with the given in-plane position spanning the
@@ -186,31 +174,6 @@ func (b *Bus) SetBusyHooks(onBusy, onIdle func()) {
 
 // Idle reports whether no transmitter holds flits.
 func (b *Bus) Idle() bool { return b.pending == 0 }
-
-// BeginDeferredPending opens a window in which Accept leaves the
-// bus-global pending counter and busy hook untouched, so per-layer
-// transmitters can be filled concurrently. The sharded fabric brackets
-// its parallel router phase with Begin/EndDeferredPending; the bus must
-// not Tick inside the window.
-func (b *Bus) BeginDeferredPending() { b.deferPending = true }
-
-// EndDeferredPending closes the deferred window: it recounts pending from
-// the transmitter buffers and fires the busy hook on the empty-to-busy
-// edge. Flits are only ever added during the window (the bus ticks
-// outside it), so the recount can only grow pending and at most one busy
-// edge can have occurred — the hook fires exactly as often as it would
-// have under serial Accepts.
-func (b *Bus) EndDeferredPending() {
-	b.deferPending = false
-	n := 0
-	for i := range b.txs {
-		n += b.txs[i].n
-	}
-	if b.pending == 0 && n > 0 && b.onBusy != nil {
-		b.onBusy()
-	}
-	b.pending = n
-}
 
 // ActiveClients returns the number of layers with pending flits — the
 // number of timeslots the dTDMA arbiter currently allocates.

@@ -111,11 +111,7 @@ type Packet struct {
 	pooled bool
 
 	// Hops counts router-to-router and bus traversals, for energy
-	// accounting. It is int32 so the sharded fabric can bump it atomically:
-	// with the flits of one cross-layer packet split between a source-layer
-	// router and a destination-layer router, two shards may increment it in
-	// the same cycle (the only packet field written concurrently — the
-	// increment commutes, so order does not matter). See Router.SetAtomicHops.
+	// accounting. It is int32 so it packs beside the two flags above.
 	Hops int32
 }
 

@@ -3,10 +3,8 @@
 // *simulated* chip (probe events, spans, energy, thermal), prof observes
 // the *simulator*: how the host's wall-clock time divides across the
 // loop's phases (CPU pipeline events, protocol/cluster events, the network
-// tick serial vs sharded, thermal stepping, sampling), how the shard
-// workers split their rounds between useful work and barrier waits, what
-// the process allocates, and how many simulated cycles per host second the
-// whole thing sustains.
+// tick, thermal stepping, sampling), what the process allocates, and how
+// many simulated cycles per host second the whole thing sustains.
 //
 // The measurement discipline is strictly one-way: phase boundaries take
 // monotonic clock readings (time.Now's monotonic component) and fold the
@@ -39,13 +37,10 @@ const (
 	// migrations, replicas, data replies, and memory-path events — the
 	// event-engine drain minus the CPU kinds.
 	PhaseProtocol
-	// PhaseNet is the fabric tick on the serial path (routers, then
-	// pillar buses, then active-list pruning).
+	// PhaseNet is the fabric tick (routers, then pillar buses, then
+	// active-list pruning). Its report name stays "net-serial", the name
+	// existing readers of the phase table look it up by.
 	PhaseNet
-	// PhaseNetSharded is the fabric tick when the router phase fanned out
-	// across the layer shards (fabric.SetShards) — fork, barrier, staged
-	// replay, and the serial bus phase together.
-	PhaseNetSharded
 	// PhaseThermal is the thermal tracker's tick: energy-window flushes,
 	// RC grid steps, and the DTM controller's actuation when attached.
 	PhaseThermal
@@ -65,13 +60,8 @@ const (
 // accumulator arrays).
 const NumPhases = int(phaseCount)
 
-// PhaseSelf is the sentinel classification for tickers that time
-// themselves into the recorder (the fabric splits its tick into
-// PhaseNet/PhaseNetSharded); the engine takes no clock readings for them.
-const PhaseSelf Phase = 0xFF
-
 var phaseNames = [NumPhases]string{
-	"cpu", "protocol", "net-serial", "net-sharded",
+	"cpu", "protocol", "net-serial",
 	"thermal", "sampler", "other", "engine",
 }
 
@@ -80,7 +70,7 @@ func (p Phase) String() string {
 	if int(p) < NumPhases {
 		return phaseNames[p]
 	}
-	return "self"
+	return "unknown"
 }
 
 // histBuckets sizes the per-phase latency histogram: quarter-octave
@@ -162,11 +152,11 @@ type window struct {
 	phaseNs [NumPhases]int64
 }
 
-// Recorder is the flight recorder: phase accumulators, shard telemetry,
-// the rolling run-window ring, and allocation baselines. Create one with
-// NewRecorder, hand it to the engine/fabric via their SetProfiler hooks
-// (core.System.AttachProfile does all the wiring), and read it out with
-// Report or Snap between engine runs.
+// Recorder is the flight recorder: phase accumulators, the rolling
+// run-window ring, and allocation baselines. Create one with NewRecorder,
+// hand it to the engine via its SetProfiler hook (core.System.AttachProfile
+// does the wiring), and read it out with Report or Snap between engine
+// runs.
 type Recorder struct {
 	t0     time.Time
 	phases [NumPhases]phaseAcc
@@ -178,8 +168,6 @@ type Recorder struct {
 
 	windows     []window
 	lastPhaseNs [NumPhases]int64
-
-	shard *ShardSet
 
 	m0   runtime.MemStats
 	host HostInfo
@@ -245,45 +233,4 @@ func (r *Recorder) RunEnd(startNs int64, cycles uint64) {
 		r.windows = r.windows[:len(r.windows)-1]
 	}
 	r.windows = append(r.windows, w)
-}
-
-// ShardSet is the per-shard telemetry block behind sim.ShardGroup's
-// profiling hooks: each worker accumulates busy time into its own
-// cache-line-padded slot, and the cycling goroutine accumulates whole
-// round (fork-to-barrier) wall time. Barrier wait falls out by
-// subtraction: a shard's wait is the round time its slot was not busy.
-type ShardSet struct {
-	labels  []string
-	slots   []shardSlot
-	rounds  uint64
-	roundNs int64
-}
-
-// shardSlot pads each worker's accumulator to its own cache line so
-// concurrent busy-time writes do not false-share.
-type shardSlot struct {
-	busyNs int64
-	_      [56]byte
-}
-
-// ConfigureShards installs (or replaces) the shard telemetry block for
-// the given shard labels and returns it. Reconfiguring — the fabric
-// re-sharding to a different count — restarts the shard accumulators;
-// the phase accumulators are untouched.
-func (r *Recorder) ConfigureShards(labels []string) *ShardSet {
-	s := &ShardSet{labels: append([]string(nil), labels...), slots: make([]shardSlot, len(labels))}
-	r.shard = s
-	return s
-}
-
-// AddBusy folds ns of useful work into shard i's slot. Called by shard
-// worker i only, so slots are single-writer.
-func (s *ShardSet) AddBusy(i int, ns int64) { s.slots[i].busyNs += ns }
-
-// RoundDone accounts one completed fork-to-barrier round. Called by the
-// cycling goroutine after the barrier, so it happens-after every
-// worker's AddBusy for the round.
-func (s *ShardSet) RoundDone(ns int64) {
-	s.rounds++
-	s.roundNs += ns
 }

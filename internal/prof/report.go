@@ -8,9 +8,8 @@ import (
 )
 
 // HostInfo is the provenance of a measurement: the host shape that
-// produced it. Throughput numbers are meaningless without it — the
-// BENCH_6 lesson: a shards-4 "slowdown" measured on a 1-CPU container
-// says nothing about sharding on real hardware.
+// produced it. Throughput numbers are meaningless without it: a figure
+// measured on one CPU says little about a many-core host.
 type HostInfo struct {
 	GOOS       string
 	GOARCH     string
@@ -30,31 +29,6 @@ type PhaseStat struct {
 	MeanNs float64
 	P95Ns  int64
 	MaxNs  int64
-}
-
-// ShardStat is one shard worker's busy/wait split across all rounds.
-type ShardStat struct {
-	Label       string
-	BusySeconds float64
-	WaitSeconds float64
-	// Utilization is busy time over round time: the fraction of the
-	// lockstep rounds this shard spent doing work rather than waiting
-	// at the barrier.
-	Utilization float64
-}
-
-// ShardReport aggregates the shard telemetry: per-shard utilization and
-// the overall barrier-wait fraction — the number that explains why
-// lockstep fan-out loses on few-core hosts (on 1 CPU every round is
-// serialized, so all but one shard's share of each round is wait).
-type ShardReport struct {
-	Shards       []ShardStat
-	Rounds       uint64
-	RoundSeconds float64
-	// BarrierWaitFrac is total wait over total shard-time
-	// (rounds × shards × round time): 0 means perfect overlap, and
-	// (n-1)/n is the fully-serialized floor on a 1-CPU host.
-	BarrierWaitFrac float64
 }
 
 // WindowStat is one Engine.Run's throughput sample in the rolling series.
@@ -92,7 +66,6 @@ type Report struct {
 	CyclesPerSec float64
 
 	Phases  []PhaseStat
-	Shards  *ShardReport `json:",omitempty"`
 	Windows []WindowStat `json:",omitempty"`
 	Mem     MemDelta
 }
@@ -157,36 +130,6 @@ func (r *Recorder) Report() *Report {
 		rep.Phases = append(rep.Phases, st)
 	}
 
-	if s := r.shard; s != nil && s.rounds > 0 {
-		sr := &ShardReport{Rounds: s.rounds, RoundSeconds: float64(s.roundNs) / 1e9}
-		var totalWait, totalSpan int64
-		for i := range s.slots {
-			busy := s.slots[i].busyNs
-			wait := s.roundNs - busy
-			if wait < 0 {
-				wait = 0
-			}
-			totalWait += wait
-			totalSpan += s.roundNs
-			st := ShardStat{
-				Label:       s.labels[i],
-				BusySeconds: float64(busy) / 1e9,
-				WaitSeconds: float64(wait) / 1e9,
-			}
-			if s.roundNs > 0 {
-				st.Utilization = float64(busy) / float64(s.roundNs)
-				if st.Utilization > 1 {
-					st.Utilization = 1
-				}
-			}
-			sr.Shards = append(sr.Shards, st)
-		}
-		if totalSpan > 0 {
-			sr.BarrierWaitFrac = float64(totalWait) / float64(totalSpan)
-		}
-		rep.Shards = sr
-	}
-
 	for _, w := range r.windows {
 		ws := WindowStat{
 			StartSeconds: float64(w.startNs) / 1e9,
@@ -214,11 +157,10 @@ func (r *Recorder) Report() *Report {
 // Snapshot is the cheap live readout for serving-tier gauges: no
 // MemStats read, no histogram walks, no window copies.
 type Snapshot struct {
-	WallSeconds     float64
-	Cycles          uint64
-	CyclesPerSec    float64
-	PhaseSeconds    [NumPhases]float64
-	BarrierWaitFrac float64
+	WallSeconds  float64
+	Cycles       uint64
+	CyclesPerSec float64
+	PhaseSeconds [NumPhases]float64
 }
 
 // Snap returns the live snapshot. Same calling discipline as Report.
@@ -234,18 +176,6 @@ func (r *Recorder) Snap() Snapshot {
 	}
 	if residual := r.runNs - attributed; residual > 0 {
 		s.PhaseSeconds[PhaseEngine] += float64(residual) / 1e9
-	}
-	if sh := r.shard; sh != nil && sh.roundNs > 0 {
-		var wait, span int64
-		for i := range sh.slots {
-			w := sh.roundNs - sh.slots[i].busyNs
-			if w < 0 {
-				w = 0
-			}
-			wait += w
-			span += sh.roundNs
-		}
-		s.BarrierWaitFrac = float64(wait) / float64(span)
 	}
 	return s
 }
@@ -280,8 +210,7 @@ func fmtCount(n uint64) string {
 
 // WriteTable renders the report as the aligned text block behind
 // `nimsim -profile`: provenance line, throughput line, the per-phase
-// share table, shard utilization when the run sharded, and the
-// allocation delta.
+// share table, and the allocation delta.
 func (rep *Report) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "host profile: %s/%s %s, %d CPUs (GOMAXPROCS %d)\n",
 		rep.Host.GOOS, rep.Host.GOARCH, rep.Host.GoVersion,
@@ -294,16 +223,6 @@ func (rep *Report) WriteTable(w io.Writer) {
 		fmt.Fprintf(w, "  %-12s %6.1f%% %10s %9s %10s %10s %10s\n",
 			p.Phase, p.Share*100, fmtDur(p.Seconds*1e9), fmtCount(p.Count),
 			fmtDur(p.MeanNs), fmtDur(float64(p.P95Ns)), fmtDur(float64(p.MaxNs)))
-	}
-	if s := rep.Shards; s != nil {
-		fmt.Fprintf(w, "  shards: %d workers, %s rounds, %s round time, barrier-wait %.1f%%\n",
-			len(s.Shards), fmtCount(s.Rounds), fmtDur(s.RoundSeconds*1e9),
-			s.BarrierWaitFrac*100)
-		for _, sh := range s.Shards {
-			fmt.Fprintf(w, "    %-14s busy %10s (%5.1f%%)  wait %10s\n",
-				sh.Label, fmtDur(sh.BusySeconds*1e9), sh.Utilization*100,
-				fmtDur(sh.WaitSeconds*1e9))
-		}
 	}
 	fmt.Fprintf(w, "  mem: +%s allocated (%s mallocs), %d GCs (%s pause), heap %s\n",
 		fmtBytes(rep.Mem.AllocBytes), fmtCount(rep.Mem.Mallocs),

@@ -42,12 +42,12 @@ type DivergeReport struct {
 //
 // The two streams compare cycle-for-cycle, so b's warm and measure
 // windows are forced to a's; everything else — scheme, topology,
-// policies, seed, shard count — may differ, which is the point: serial
-// vs sharded, or two policy variants, attest (or refute) bit-identity
-// with a named first point of departure. interval is the coarse
-// snapshot period (0 selects 1000); the refinement pass costs roughly
-// one extra interval's worth of per-cycle digesting on top of two
-// coarse runs.
+// policies, seed, progress hooks — may differ, which is the point: a
+// chunked (hooked) run vs a single-call run, or two policy variants,
+// attest (or refute) bit-identity with a named first point of departure.
+// interval is the coarse snapshot period (0 selects 1000); the
+// refinement pass costs roughly one extra interval's worth of per-cycle
+// digesting on top of two coarse runs.
 func Diverge(a, b Job, interval uint64) (*DivergeReport, error) {
 	if interval == 0 {
 		interval = 1000

@@ -8,8 +8,7 @@ import (
 )
 
 // divergeBase is the common half of every bisection pair: the stacked
-// four-layer machine (so shard variants describe the same hardware),
-// short windows.
+// four-layer machine, short windows.
 func divergeBase() Job {
 	cfg := config.Default(config.CMPDNUCA3D)
 	cfg.Layers = 4
@@ -23,19 +22,20 @@ func divergeBase() Job {
 	}
 }
 
-// TestDivergeEqual: a job against its sharded self must come back equal
-// with matching final digests — the bisector attesting the sharding
-// contract rather than finding phantom divergences.
+// TestDivergeEqual: a job against its chunked self (a Progress hook makes
+// the runner advance in bounded Run calls) must come back equal with
+// matching final digests — the bisector attesting the chunking contract
+// rather than finding phantom divergences.
 func TestDivergeEqual(t *testing.T) {
 	a := divergeBase()
 	b := a
-	b.Shards = 2
+	b.Progress = func(float64) {}
 	rep, err := Diverge(a, b, 1_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Equal {
-		t.Fatalf("serial vs shards=2 reported divergence at cycle %d in %s", rep.Cycle, rep.Lane)
+		t.Fatalf("single-call vs chunked run reported divergence at cycle %d in %s", rep.Cycle, rep.Lane)
 	}
 	if rep.DigestA != rep.DigestB || rep.DigestA == "" {
 		t.Errorf("equal runs with different final digests: %s vs %s", rep.DigestA, rep.DigestB)

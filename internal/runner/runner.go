@@ -50,15 +50,6 @@ type Job struct {
 	// Results.DTM carries the management report. DTM needs the thermal
 	// loop, so a DTM-active job with a zero ThermalInterval fails.
 	ThermalInterval uint64
-	// Shards, when > 1, runs the simulation's network phase sharded
-	// across that many layer goroutines (core.System.SetShards). A
-	// sharded run is bit-identical to a serial one — same Results, same
-	// samples — so this is purely a wall-clock knob for the latency of a
-	// single job; it composes multiplicatively with Pool.Workers, so
-	// callers sweeping many jobs should keep Workers x Shards within the
-	// machine's core count. Values <= 1, single-layer configs, and the
-	// VerticalNoC ablation run the historical serial path.
-	Shards int
 
 	// DigestInterval, when non-zero, attaches the state-digest recorder
 	// (core.System.AttachDigest) snapshotting every DigestInterval cycles
@@ -119,15 +110,15 @@ type Job struct {
 
 	// Profile attaches the host-side phase profiler
 	// (core.System.AttachProfile) before warm-up, so Results.Profile
-	// carries the whole run's wall-clock attribution — per-phase shares,
-	// shard barrier-wait, throughput windows. Host-side only: a profiled
-	// job's Results (Profile field aside) are bit-identical to an
-	// unprofiled job's. False leaves it off, costing nothing.
+	// carries the whole run's wall-clock attribution — per-phase shares
+	// and throughput windows. Host-side only: a profiled job's Results
+	// (Profile field aside) are bit-identical to an unprofiled job's.
+	// False leaves it off, costing nothing.
 	Profile bool
 
 	// OnProfile, when non-nil (and Profile true), receives a cheap live
 	// snapshot of the profiler — wall time, cycles/sec, per-phase
-	// seconds, barrier-wait fraction — after each measurement chunk and
+	// seconds — after each measurement chunk and
 	// once more at completion; the serving tier's per-job phase gauges
 	// read these. The snapshot is a value taken between engine runs on
 	// the worker goroutine. Setting it implies chunked execution, as for
@@ -252,10 +243,6 @@ func runOne(i int, j Job) (res Result) {
 	if err != nil {
 		res.Err = err
 		return res
-	}
-	defer sys.Close()
-	if j.Shards > 1 {
-		sys.SetShards(j.Shards)
 	}
 	if j.RecordSpans {
 		// Before warm-up, so transactions in flight across ResetStats carry

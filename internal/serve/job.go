@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -56,27 +55,19 @@ type JobRequest struct {
 	// DigestInterval, when non-zero, attaches the state-digest recorder
 	// (runner.Job.DigestInterval): the job's Results carry the Digests
 	// report, GET /jobs/{id} a digest summary, and /metrics the
-	// nimsim_job_digest_info family. Unlike Shards it IS part of the job
-	// identity — digesting adds the Digests field to the Results bytes,
-	// so digested and undigested submissions must not share a cache entry.
+	// nimsim_job_digest_info family. It IS part of the job identity —
+	// digesting adds the Digests field to the Results bytes, so digested
+	// and undigested submissions must not share a cache entry.
 	DigestInterval uint64 `json:"digest_interval,omitempty"`
 	// DigestVerify, when true (and DigestInterval non-zero), makes the
-	// worker rerun the job as a serial reference after the primary run
+	// worker rerun the job as a plain reference after the primary run
 	// and compare the two digest streams, publishing any mismatch as
 	// nimsim_job_digest_mismatch_cycle — a paid-for, on-demand audit of
-	// the bit-identity contract (it roughly doubles the job's cost).
-	// Like Shards it is NOT part of the job identity (it changes no
-	// Results byte), so the flag on the submission that first registers
-	// the job wins; coalesced and cached submissions inherit it.
+	// rerun determinism (it roughly doubles the job's cost). It is NOT
+	// part of the job identity (it changes no Results byte), so the flag
+	// on the submission that first registers the job wins; coalesced and
+	// cached submissions inherit it.
 	DigestVerify bool `json:"digest_verify,omitempty"`
-
-	// Shards, when > 1, runs the job's network phase sharded across that
-	// many layer goroutines (runner.Job.Shards). Results are bit-identical
-	// to a serial run, so this is a latency knob only — it never changes
-	// the job id, and a sharded submission can be answered from a serial
-	// run's cache entry (and vice versa). The server clamps the value so
-	// workers x shards stays within runtime.NumCPU().
-	Shards int `json:"shards,omitempty"`
 
 	// Config-building overrides (ignored when Config is given).
 	Layers    int     `json:"layers,omitempty"`
@@ -157,18 +148,6 @@ func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
 			thermal = s.opts.DefaultSampleInterval
 		}
 	}
-	// Cap intra-job parallelism so the pool's effective concurrency —
-	// workers x shards — stays within the machine: each worker may fan a
-	// job out over at most NumCPU/Workers shard goroutines. A request for
-	// more is clamped, not rejected, because the result is bit-identical
-	// either way.
-	shards := req.Shards
-	if maxShards := runtime.NumCPU() / s.opts.Workers; shards > maxShards {
-		shards = maxShards
-	}
-	if shards < 1 {
-		shards = 1
-	}
 	return runner.Job{
 		Config:          cfg,
 		Benchmark:       bench,
@@ -177,7 +156,6 @@ func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
 		Seed:            req.Seed,
 		SampleInterval:  sample,
 		ThermalInterval: thermal,
-		Shards:          shards,
 		RecordSpans:     req.RecordSpans,
 		DigestInterval:  req.DigestInterval,
 	}, nil
@@ -187,12 +165,6 @@ func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
 // deterministic run's observable output. Hashing its JSON encoding gives
 // the job id — identical submissions collapse onto one registry entry,
 // which is the whole caching and coalescing mechanism.
-//
-// Job.Shards is deliberately absent: the sharding contract
-// (core.System.SetShards) makes a sharded run bit-identical to a serial
-// one, so submissions differing only in shard count MUST collapse onto
-// the same entry — a serial run's cached results answer a sharded
-// request byte-for-byte, and vice versa.
 type jobIdentity struct {
 	ConfigHash      string `json:"config_hash"`
 	Benchmark       string `json:"benchmark"`
@@ -263,7 +235,7 @@ type job struct {
 
 	digest        *digest.Report // final digest report, nil unless the job digested
 	droppedEvents uint64         // trace-ring events lost to backpressure (obs.RingSink)
-	verified      bool           // serial reference rerun completed and streams compared
+	verified      bool           // reference rerun completed and streams compared
 	mismatch      bool           // the reference comparison found a divergence
 	mismatchCycle uint64
 	mismatchLane  string
@@ -335,7 +307,7 @@ func (rec *job) setDigest(rep *digest.Report, dropped uint64) {
 	rec.mu.Unlock()
 }
 
-// setVerify publishes the outcome of the serial-reference digest
+// setVerify publishes the outcome of the reference-rerun digest
 // comparison (see Server.runJob).
 func (rec *job) setVerify(mismatch bool, cycle uint64, lane string) {
 	rec.mu.Lock()
@@ -386,12 +358,12 @@ type JobStatus struct {
 
 // DigestStatus summarizes a digested job on the status API: the run's
 // final 64-bit state digest plus, when DigestVerify was requested, the
-// outcome of the serial-reference comparison.
+// outcome of the reference-rerun comparison.
 type DigestStatus struct {
 	Digest   string `json:"digest"`
 	Interval uint64 `json:"interval"`
 	Records  int    `json:"records"`
-	// Verified reports that the serial reference rerun completed and its
+	// Verified reports that the reference rerun completed and its
 	// digest stream was compared against the primary run's.
 	Verified bool `json:"verified,omitempty"`
 	// Mismatch, MismatchCycle, and MismatchLane report the comparison's

@@ -108,7 +108,7 @@ func TestJobIdentityConfigRoundTrip(t *testing.T) {
 // TestDigestJobIdentity pins the identity rules for the digest fields:
 // DigestInterval changes the Results bytes (the Digests report rides in
 // them), so it must split the cache; DigestVerify changes nothing a
-// client reads back, so — like Shards — it must not.
+// client reads back, so it must not.
 func TestDigestJobIdentity(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
@@ -145,7 +145,7 @@ func TestDigestJobEndToEnd(t *testing.T) {
 	body := `{
 		"scheme": "dnuca3d", "benchmark": "mgrid", "layers": 4, "stack_cpus": true,
 		"warm_cycles": 1000, "measure_cycles": 4000, "sample_interval": 500,
-		"seed": 5, "shards": 2, "digest_interval": 500, "digest_verify": true
+		"seed": 5, "digest_interval": 500, "digest_verify": true
 	}`
 	resp, out := post(t, ts.URL+"/jobs?wait=1", body)
 	if resp.StatusCode != http.StatusOK {
@@ -168,7 +168,7 @@ func TestDigestJobEndToEnd(t *testing.T) {
 		t.Error("digest_verify requested but job not verified")
 	}
 	if st.Digest.Mismatch {
-		t.Errorf("sharded run mismatched its serial reference at cycle %d in %s — bit-identity broken",
+		t.Errorf("chunked, profiled run mismatched its plain reference at cycle %d in %s — bit-identity broken",
 			st.Digest.MismatchCycle, st.Digest.MismatchLane)
 	}
 	if !strings.Contains(string(st.Results), `"Digests"`) {
@@ -189,5 +189,38 @@ func TestDigestJobEndToEnd(t *testing.T) {
 	}
 	if strings.Contains(m, "nimsim_job_digest_mismatch_cycle{") {
 		t.Errorf("/metrics reports a digest mismatch for a matching run:\n%s", m)
+	}
+}
+
+// TestLegacyFieldCacheHit: older clients may still send the removed
+// "shards" field. It was never part of a job's identity, so such a body
+// must decode, run as the same job, and be answered from the cache entry
+// of a submission without it — byte for byte.
+func TestLegacyFieldCacheHit(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+
+	plain := `{"scheme":"dnuca3d","benchmark":"mgrid","warm_cycles":1000,"measure_cycles":3000,"seed":11}`
+	legacy := `{"scheme":"dnuca3d","benchmark":"mgrid","warm_cycles":1000,"measure_cycles":3000,"seed":11,"shards":4}`
+
+	resp, first := post(t, ts.URL+"/jobs?wait=1", plain)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("first submit = %d (X-Cache %q): %s", resp.StatusCode, resp.Header.Get("X-Cache"), first)
+	}
+	resp, second := post(t, ts.URL+"/jobs?wait=1", legacy)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("legacy submit = %d: %s", resp.StatusCode, second)
+	}
+	if xc := resp.Header.Get("X-Cache"); xc != "hit" {
+		t.Fatalf("legacy body X-Cache = %q, want hit", xc)
+	}
+	var a, b JobStatus
+	if err := json.Unmarshal(first, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(second, &b); err != nil {
+		t.Fatal(err)
+	}
+	if a.ID != b.ID || string(a.Results) != string(b.Results) {
+		t.Fatalf("legacy body answered with job %s, want %s and identical Results bytes", b.ID, a.ID)
 	}
 }

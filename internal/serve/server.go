@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -13,6 +14,15 @@ import (
 	"repro/internal/digest"
 	"repro/internal/runner"
 )
+
+// maxRequestBytes caps a POST /jobs body. A full config override is a
+// few kilobytes; 1 MiB leaves ample room while bounding what one request
+// can make the daemon buffer.
+const maxRequestBytes = 1 << 20
+
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so a stalled connection cannot hold a server goroutine.
+const readHeaderTimeout = 10 * time.Second
 
 // Options configures a Server. The zero value serves on :8080 with
 // GOMAXPROCS workers, a 64-deep queue, and 1000-cycle default sampling.
@@ -120,7 +130,7 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: s.mux}
+	httpSrv := &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		<-ctx.Done()
 		s.mu.Lock()
@@ -205,19 +215,18 @@ func (s *Server) runJob(rec *job) {
 	rec.finish(b, time.Now())
 }
 
-// verifyDigest is the DigestVerify rerun: the same job as a serial
-// reference (Shards=1, no hooks), its digest stream compared against the
-// primary run's. A mismatch names the first divergent cycle and
-// subsystem on the status API and /metrics — the daemon catching a
-// broken bit-identity contract in production rather than in CI. A failed
-// rerun leaves the job unverified (the primary results stand).
+// verifyDigest is the DigestVerify rerun: the same job as a plain
+// reference (no hooks, so one Run call per window and no profiler), its
+// digest stream compared against the primary run's chunked, profiled
+// one. A mismatch names the first divergent cycle and subsystem on the
+// status API and /metrics — the daemon catching nondeterminism in
+// production rather than in CI. A failed rerun leaves the job
+// unverified (the primary results stand).
 func (s *Server) verifyDigest(rec *job, primary *digest.Report) {
 	if !rec.verify {
 		return
 	}
-	ref := rec.run
-	ref.Shards = 1
-	refRes := runner.Run([]runner.Job{ref}, 1)[0]
+	refRes := runner.Run([]runner.Job{rec.run}, 1)[0]
 	if refRes.Err != nil || refRes.Results.Digests == nil {
 		return
 	}
@@ -232,11 +241,17 @@ func (s *Server) verifyDigest(rec *job, primary *digest.Report) {
 // already-registered job (cache hit when finished, coalesce when still in
 // flight) or register and enqueue a new one. ?wait=1 blocks until the job
 // reaches a terminal state. The X-Cache header says which path was taken:
-// "hit", "coalesced", or "miss".
+// "hit", "coalesced", or "miss". A body over maxRequestBytes is refused
+// with 413 before anything is registered.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding job request: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("decoding job request: %w", err))
 		return
 	}
 	run, err := s.buildJob(req)

@@ -492,3 +492,22 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("unknown job stream = %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestOversizedBody: a submission larger than maxRequestBytes is refused
+// with 413 and registers nothing.
+func TestOversizedBody(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+
+	body := `{"scheme":"dnuca3d","benchmark":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	resp, out := post(t, ts.URL+"/jobs", body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body = %d, want 413: %.200s", resp.StatusCode, out)
+	}
+	s.mu.Lock()
+	registered := len(s.jobs)
+	s.mu.Unlock()
+	if registered != 0 || s.m.submitted.Load() != 0 {
+		t.Fatalf("oversized body registered %d jobs (%d submitted), want none",
+			registered, s.m.submitted.Load())
+	}
+}

@@ -179,25 +179,10 @@ func (s *Simulation) WarmAddresses(addrs []LineAddr) { s.sys.WarmAddresses(addrs
 // (the paper's 500M-cycle warm-up, compressed; see internal/core.Warm).
 func (s *Simulation) Warm() { s.sys.Warm(s.seed) }
 
-// SetShards requests spatial domain decomposition of the network phase
-// across n shards — one goroutine per contiguous block of device layers,
-// joined only by the dTDMA pillar buses — and returns the shard count
-// actually in force. A sharded run is bit-identical to a serial run
-// (same Results, same trace/sample/thermal output), for every scheme and
-// attachment, so sharding is purely a wall-clock knob for a single
-// simulation's latency. n is clamped to the layer count; single-layer
-// configs, the VerticalNoC ablation, and an attached tracer (which wants
-// the global cycle order observable) fall back to the serial path
-// automatically. Call Close when done with a sharded simulation to
-// release the worker goroutines.
-func (s *Simulation) SetShards(n int) int { return s.sys.SetShards(n) }
-
-// Shards returns the shard count currently in force (1 when serial).
-func (s *Simulation) Shards() int { return s.sys.Shards() }
-
-// Close releases the shard worker goroutines, if any. Safe on a
-// never-sharded simulation; idempotent.
-func (s *Simulation) Close() { s.sys.Close() }
+// Close is a no-op kept for callers written against earlier versions,
+// whose simulations could hold worker goroutines. A Simulation owns no
+// resources beyond memory; calling Close is safe any number of times.
+func (s *Simulation) Close() {}
 
 // Start begins execution on every core.
 func (s *Simulation) Start() { s.sys.Start() }
@@ -397,21 +382,19 @@ type ProfileRecorder = prof.Recorder
 
 // ProfileReport is the flight-recorder readout appearing in
 // Results.Profile when the profiler is attached: per-phase wall-clock
-// share/mean/P95, shard utilization and barrier-wait fraction, the
-// rolling cycles/sec series, allocation deltas, and host provenance
-// (GOOS/GOARCH, CPU count, Go version).
+// share/mean/P95, the rolling cycles/sec series, allocation deltas, and
+// host provenance (GOOS/GOARCH, CPU count, Go version).
 type ProfileReport = prof.Report
 
 // AttachProfile attaches the host-side phase profiler: every subsequent
 // Run is wall-clock-attributed across the simulation loop's phases (CPU
-// events, protocol events, network serial/sharded, thermal, sampler,
-// engine bookkeeping), with per-shard busy vs barrier-wait telemetry
-// when SetShards is in force. Results gains the Profile report.
+// events, protocol events, network, thermal, sampler, engine
+// bookkeeping). Results gains the Profile report.
 //
 // Profiling is host-side only and provably non-perturbing: an attached
 // run's Results (Profile field aside) are bit-identical to a detached
-// run's, for every scheme, serial or sharded. Attach before Warm to
-// attribute the whole run; idempotent.
+// run's, for every scheme. Attach before Warm to attribute the whole
+// run; idempotent.
 func (s *Simulation) AttachProfile() *ProfileRecorder {
 	return s.sys.AttachProfile()
 }
@@ -446,8 +429,10 @@ type DigestRecord = digest.Record
 // measurement window, and before AttachSampler if the sampler should
 // carry the digest columns. Results gains the Digests report. Digesting
 // is a pure observation — Results (Digests field aside) are
-// bit-identical to an unattached run, serial or sharded — and the
-// record path is allocation-free in steady state. Idempotent.
+// bit-identical to an unattached run — and the record path is
+// allocation-free in steady state. A registered recorder switches
+// idle-cycle skipping off, since it must see every snapshot cycle.
+// Idempotent.
 func (s *Simulation) AttachDigest(interval uint64) *DigestRecorder {
 	return s.sys.AttachDigest(interval)
 }

@@ -3,35 +3,23 @@ package nim_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"testing"
 
 	nim "repro"
 )
 
-// profiledRun executes one short Figure 13-style run, optionally sharded
-// and optionally with the host profiler attached, and returns its
-// Results. The config mirrors TestThermalDoesNotPerturb; the sharded
-// variants use the stacked four-layer machine the -shards flag targets.
-func profiledRun(t testing.TB, scheme nim.Scheme, shards int, attach bool) nim.Results {
+// profiledRun executes one short Figure 13-style run, optionally with the
+// host profiler attached, and returns its Results. The config mirrors
+// TestThermalDoesNotPerturb.
+func profiledRun(t testing.TB, scheme nim.Scheme, attach bool) nim.Results {
 	cfg := nim.DefaultConfig(scheme)
-	if shards > 1 {
-		cfg.Layers = 4
-		cfg.StackCPUs = true
-	}
 	bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
 	sim, err := nim.NewSimulation(cfg, bench, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	sim.Warm()
-	if shards > 1 {
-		if got := sim.SetShards(shards); got != shards {
-			t.Fatalf("SetShards(%d) = %d", shards, got)
-		}
-	}
 	if attach {
 		sim.AttachProfile()
 	}
@@ -44,14 +32,13 @@ func profiledRun(t testing.TB, scheme nim.Scheme, shards int, attach bool) nim.R
 
 // TestProfileDoesNotPerturb is the profiler's core contract: it measures
 // the simulator, not the simulated machine, so attaching it changes no
-// architectural result — bit-identical Results across every scheme, on
-// both the serial and the sharded network path. The Profile report
-// itself is the only allowed difference.
+// architectural result — bit-identical Results across every scheme. The
+// Profile report itself is the only allowed difference.
 func TestProfileDoesNotPerturb(t *testing.T) {
 	for _, scheme := range nim.Schemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
-			plain := profiledRun(t, scheme, 1, false)
-			observed := profiledRun(t, scheme, 1, true)
+			plain := profiledRun(t, scheme, false)
+			observed := profiledRun(t, scheme, true)
 			if observed.Profile == nil {
 				t.Fatal("attached run returned no Profile")
 			}
@@ -63,29 +50,14 @@ func TestProfileDoesNotPerturb(t *testing.T) {
 			}
 		})
 	}
-	for _, shards := range []int{2, 4} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			plain := profiledRun(t, nim.CMPDNUCA3D, shards, false)
-			observed := profiledRun(t, nim.CMPDNUCA3D, shards, true)
-			if observed.Profile == nil {
-				t.Fatal("attached run returned no Profile")
-			}
-			observed.Profile = nil
-			pj, _ := json.Marshal(plain)
-			oj, _ := json.Marshal(observed)
-			if !bytes.Equal(pj, oj) {
-				t.Fatalf("shards=%d: profiler attachment changed results:\nplain    %s\nobserved %s", shards, pj, oj)
-			}
-		})
-	}
 }
 
 // TestProfileReportSanity checks the report's arithmetic on a real run:
 // phase shares sum to ~100% of loop wall time, the cycle count matches
-// the cycles the engine ran while attached, and a sharded run carries
-// per-shard barrier accounting.
+// the cycles the engine ran while attached, and the network tick is timed
+// under its own phase, once per cycle.
 func TestProfileReportSanity(t *testing.T) {
-	r := profiledRun(t, nim.CMPDNUCA3D, 4, true)
+	r := profiledRun(t, nim.CMPDNUCA3D, true)
 	p := r.Profile
 	if p == nil {
 		t.Fatal("no Profile in Results")
@@ -97,26 +69,21 @@ func TestProfileReportSanity(t *testing.T) {
 		t.Errorf("degenerate wall clock: %v s, %v cycles/sec", p.WallSeconds, p.CyclesPerSec)
 	}
 	var shares float64
+	netCount := uint64(0)
 	for _, ph := range p.Phases {
 		if ph.Share < 0 || ph.Seconds < 0 {
 			t.Errorf("phase %s has negative share/time: %+v", ph.Phase, ph)
 		}
 		shares += ph.Share
+		if ph.Phase == "net-serial" {
+			netCount = ph.Count
+		}
 	}
 	if math.Abs(shares-1) > 0.02 {
 		t.Errorf("phase shares sum to %.4f, want ~1 (the engine residual closes the budget)", shares)
 	}
-	if p.Shards == nil {
-		t.Fatal("sharded run has no shard report")
-	}
-	if got := len(p.Shards.Shards); got != 4 {
-		t.Fatalf("shard report has %d workers, want 4", got)
-	}
-	if p.Shards.Rounds == 0 {
-		t.Error("shard report counted no rounds: the sharded path never ran")
-	}
-	if f := p.Shards.BarrierWaitFrac; f < 0 || f > 1 {
-		t.Errorf("barrier-wait fraction %v outside [0,1]", f)
+	if netCount != p.Steps {
+		t.Errorf("net-serial phase has %d samples, want one per executed step (%d)", netCount, p.Steps)
 	}
 	if p.Host.NumCPU <= 0 || p.Host.GoVersion == "" {
 		t.Errorf("host provenance incomplete: %+v", p.Host)

@@ -8,10 +8,7 @@
 #                                    the historical default machine (the
 #                                    headline and the regression gate's
 #                                    anchor); "stacked" the 4-layer
-#                                    stacked-CPU machine run serially;
-#                                    "shards-2"/"shards-4" the same machine
-#                                    with the network phase fanned out over
-#                                    layer-shard goroutines
+#                                    stacked-CPU machine
 #   BenchmarkEventQueue/*          — engine event queue: legacy heap vs wheel
 #   BenchmarkDTMOverhead/*         — thermal-management loop: detached vs
 #                                    disabled controller vs all actuators
@@ -67,9 +64,9 @@ n=1
 while [ -e "BENCH_${n}.json" ]; do n=$((n + 1)); done
 
 # go test appends "-<GOMAXPROCS>" to benchmark names unless it is 1;
-# strip exactly that suffix, not any trailing "-<digits>" — sub-benchmark
-# names like shards-4 must survive (on a 1-CPU host there is no suffix
-# at all, and a blind strip would merge shards-2 and shards-4).
+# strip exactly that suffix, not any trailing "-<digits>" — a sub-benchmark
+# name ending in digits must survive (on a 1-CPU host there is no suffix
+# at all).
 procs="${GOMAXPROCS:-$(nproc)}"
 
 # Host provenance: wall-clock numbers are only comparable between runs on
@@ -130,28 +127,6 @@ hostfield() {
 		exit
 	}' "$1"
 }
-
-# Serial-vs-sharded throughput on the stacked 4-layer machine, from this
-# run's own numbers (informational; GOMAXPROCS bounds what is reachable).
-# On a single-CPU host the "speedup" label would be a lie — the shard
-# goroutines time-slice one core and the ratio measures barrier overhead
-# (nimsim -profile shows where it goes) — so the line says that instead.
-stacked=$(nsop "BENCH_${n}.json" "BenchmarkSimulatorThroughput/stacked")
-sharded=$(nsop "BENCH_${n}.json" "BenchmarkSimulatorThroughput/shards-4")
-if [ -n "$stacked" ] && [ -n "$sharded" ]; then
-	if [ "$ncpu" -le 1 ]; then
-		awk -v s="$stacked" -v p="$sharded" 'BEGIN {
-			printf "shard throughput: stacked %g ns/op -> shards-4 %g ns/op = %.2fx\n", s, p, s / p
-			print "  note: 1-CPU host — sharded goroutines time-slice a single core, so this"
-			print "  ratio is barrier/coordination overhead, NOT a parallel speedup"
-		}'
-	else
-		awk -v s="$stacked" -v p="$sharded" -v ncpu="$ncpu" 'BEGIN {
-			printf "shard speedup: stacked %g ns/op -> shards-4 %g ns/op = %.2fx (on %s CPUs)\n",
-				s, p, s / p, ncpu
-		}'
-	fi
-fi
 
 if [ -n "$compare" ]; then
 	# Wall-clock comparisons across different host shapes are noise:
