@@ -191,8 +191,10 @@ func TestDigestRecordPathAllocs(t *testing.T) {
 	if _, err := sim.AttachDTM(500); err != nil {
 		t.Fatal(err)
 	}
-	rec := sim.AttachDigest(1)
 	sim.Run(2_000) // populate in-flight state for the walker to fold
+	// Attach after the populate run: at interval 1 every cycle of that run
+	// would otherwise be a full-machine snapshot.
+	rec := sim.AttachDigest(1)
 	const rounds = 200
 	rec.Reserve(len(rec.Records()) + rounds + 10)
 	cycle := uint64(1 << 32)

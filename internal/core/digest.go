@@ -23,10 +23,7 @@ type digestFolder interface{ DigestFold(*digest.Recorder) }
 //
 // The recorder is a pure observer — the walker reads simulator state
 // and writes only recorder-owned arrays — so an attached run is
-// bit-identical to a detached one (TestDigestDoesNotPerturb). Being a
-// registered ticker that is never idle, it switches idle-cycle skipping
-// off; TestDigestIdleSkipInvariance folds the walker outside the engine
-// instead to show skipped and stepped runs reach identical state.
+// bit-identical to a detached one (TestDigestDoesNotPerturb).
 func (s *System) AttachDigest(interval uint64) *digest.Recorder {
 	if s.digestRec != nil {
 		return s.digestRec

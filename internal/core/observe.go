@@ -138,8 +138,7 @@ func (s *System) refreshProbe() {
 // Measurement is host-side only: monotonic clock deltas folded into
 // value-typed accumulators, nothing fed back into simulation state — so
 // an attached run is bit-identical to a detached one (the contract is
-// pinned by TestProfileDoesNotPerturb) and idle-cycle skipping stays
-// engaged. Attach any time; idempotent
+// pinned by TestProfileDoesNotPerturb). Attach any time; idempotent
 // (subsequent calls return the same recorder). Attach before Warm to
 // profile the whole run, since attribution starts at attachment.
 func (s *System) AttachProfile() *prof.Recorder {
@@ -154,12 +153,9 @@ func (s *System) AttachProfile() *prof.Recorder {
 
 // eventPhase classifies a typed engine event for the profiler: the CPU
 // pipeline kinds are the core's fetch-execute loop; everything else —
-// cluster serves, migrations, replicas, memory path, and any legacy
-// closure — is protocol work.
-func eventPhase(kind uint8, closure bool) prof.Phase {
-	if closure {
-		return prof.PhaseProtocol
-	}
+// cluster serves, migrations, replicas and the memory path — is protocol
+// work.
+func eventPhase(kind uint8) prof.Phase {
 	switch kind {
 	case evCPUStep, evCPUAccess, evCPUIfetch, evCPUData, evCPULoadMiss:
 		return prof.PhaseCPU
@@ -189,8 +185,8 @@ func tickerPhase(t sim.Ticker) prof.Phase {
 // recorder's aggregates along with the other statistics, which makes the
 // traced set exactly the set the measured latency means cover. Unlike
 // AttachProbe the recorder registers no tickers and never wakes the
-// fabric, so idle-cycle skipping stays engaged; spans and chains are
-// pooled, so steady-state recording allocates nothing.
+// fabric; spans and chains are pooled, so steady-state recording
+// allocates nothing.
 func (s *System) AttachSpans() *obs.SpanRecorder {
 	s.spans = obs.NewSpanRecorder()
 	return s.spans

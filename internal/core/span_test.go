@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -12,7 +11,7 @@ import (
 
 // runSpans runs one warm + measure window with span tracing attached for
 // the measurement phase and returns the recorder and results.
-func runSpans(t *testing.T, cfg config.Config, skip bool) (*obs.SpanRecorder, Results) {
+func runSpans(t *testing.T, cfg config.Config) (*obs.SpanRecorder, Results) {
 	t.Helper()
 	prof, ok := trace.ProfileByName("mgrid", cfg.NumCPUs)
 	if !ok {
@@ -22,7 +21,6 @@ func runSpans(t *testing.T, cfg config.Config, skip bool) (*obs.SpanRecorder, Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Engine.SetIdleSkip(skip)
 	// Attach before warmup so transactions in flight across the stats reset
 	// carry spans; ResetStats resets the recorder too, so the traced set is
 	// exactly the set the measured means cover.
@@ -65,7 +63,7 @@ func TestSpanConservation(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			rec, r := runSpans(t, tc.cfg(), true)
+			rec, r := runSpans(t, tc.cfg())
 			if n, first := rec.Mismatches(); n != 0 {
 				t.Fatalf("%d conservation violations; first: %s", n, first)
 			}
@@ -110,7 +108,7 @@ func TestSpanConservation(t *testing.T) {
 // the baseline's location-map retries and the dynamic schemes' phase-2
 // searches must occur in the measurement window.
 func TestSpanRetryPathsCovered(t *testing.T) {
-	rec, r := runSpans(t, config.Default(config.CMPDNUCA3D), true)
+	rec, r := runSpans(t, config.Default(config.CMPDNUCA3D))
 	if n, first := rec.Mismatches(); n != 0 {
 		t.Fatalf("%d conservation violations; first: %s", n, first)
 	}
@@ -131,37 +129,5 @@ func TestSpanRetryPathsCovered(t *testing.T) {
 	}
 	if comp(r.Breakdown.Misses, "dram") == 0 {
 		t.Error("dram component empty for misses")
-	}
-}
-
-// TestSpanSkipEquivalence proves span tracing preserves the idle-skip
-// contract: a traced run with fast-forwarding produces the identical
-// breakdown (and identical results) to one stepping every cycle, and the
-// fabric still reports idle with a recorder attached.
-func TestSpanSkipEquivalence(t *testing.T) {
-	cfg := config.Default(config.CMPDNUCA3D)
-	_, skipped := runSpans(t, cfg, true)
-	_, stepped := runSpans(t, cfg, false)
-	if !reflect.DeepEqual(skipped.Breakdown, stepped.Breakdown) {
-		t.Errorf("idle skipping changed the breakdown:\n skip: %+v\n step: %+v",
-			skipped.Breakdown, stepped.Breakdown)
-	}
-	skipped.Breakdown, stepped.Breakdown = nil, nil
-	if skipped != stepped {
-		t.Errorf("idle skipping changed results:\n skip: %+v\n step: %+v", skipped, stepped)
-	}
-
-	// A quiescent fabric must stay idle-skippable with spans attached.
-	prof, _ := trace.ProfileByName("mgrid", cfg.NumCPUs)
-	s, err := NewSystem(cfg, prof, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Fab.Idle() {
-		t.Fatal("fresh fabric not idle")
-	}
-	s.AttachSpans()
-	if !s.Fab.Idle() {
-		t.Error("attaching spans disabled idle-cycle skipping")
 	}
 }

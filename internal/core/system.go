@@ -132,7 +132,7 @@ type System struct {
 
 	// spans, when non-nil, records per-transaction latency spans; see
 	// AttachSpans. Unlike obsProbe it is not a fabric probe and registers
-	// no tickers, so idle-cycle skipping stays engaged.
+	// no tickers.
 	spans *obs.SpanRecorder
 
 	// statsReg is the lazily built counter registry over the live Metrics

@@ -27,9 +27,10 @@ func testSystem(t *testing.T, scheme config.Scheme) *System {
 // drain runs the engine until no transactions remain outstanding.
 func drain(t *testing.T, s *System) {
 	t.Helper()
-	ok := s.Engine.RunUntil(func() bool { return len(s.txns) == 0 }, s.Engine.Now()+100000)
-	if !ok {
-		t.Fatalf("transactions stuck: %d outstanding", len(s.txns))
+	for limit := s.Engine.Now() + 100000; len(s.txns) > 0; s.Engine.Step() {
+		if s.Engine.Now() >= limit {
+			t.Fatalf("transactions stuck: %d outstanding", len(s.txns))
+		}
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 // Phase identifies one slice of the simulation loop's wall-clock budget.
 // The phases tile an Engine.Run: every nanosecond of a profiled run lands
 // in exactly one phase, with PhaseEngine absorbing the residual (wheel
-// bookkeeping, idle-cycle scans, loop overhead) so the per-phase shares
-// sum to 100% of loop time by construction.
+// bookkeeping, loop overhead) so the per-phase shares sum to 100% of loop
+// time by construction.
 type Phase uint8
 
 const (
@@ -49,8 +49,8 @@ const (
 	// PhaseOther is any registered ticker the classifier does not know.
 	PhaseOther
 	// PhaseEngine is the engine's own bookkeeping, attributed by
-	// subtraction at report time: wheel migration, idle-cycle scans, and
-	// run-loop overhead not inside any timed section.
+	// subtraction at report time: wheel migration and run-loop overhead
+	// not inside any timed section.
 	PhaseEngine
 
 	phaseCount
@@ -160,7 +160,6 @@ type window struct {
 type Recorder struct {
 	t0     time.Time
 	phases [NumPhases]phaseAcc
-	steps  uint64
 
 	runNs  int64
 	runs   uint64
@@ -204,10 +203,6 @@ func (r *Recorder) Record(p Phase, ns int64) {
 	}
 	a.hist[bucketOf(ns)]++
 }
-
-// StepDone counts one executed engine step (idle-skipped cycles never
-// step, so steps ≤ cycles).
-func (r *Recorder) StepDone() { r.steps++ }
 
 // RunStart marks the beginning of an Engine.Run window and returns its
 // host-relative start time for the matching RunEnd.

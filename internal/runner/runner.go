@@ -84,8 +84,8 @@ type Job struct {
 	// [0, 1], and always ends with exactly 1.0 (including for zero-cycle
 	// windows). Setting it makes the runner advance the machine in
 	// bounded chunks instead of two long Run calls; chunked execution is
-	// cycle-for-cycle identical to unchunked (the engine's idle skip
-	// resumes across chunk boundaries), so Results are unchanged. Calls
+	// cycle-for-cycle identical to unchunked (the engine steps every
+	// cycle either way), so Results are unchanged. Calls
 	// arrive on the worker goroutine executing this job.
 	Progress func(fraction float64)
 
@@ -340,8 +340,8 @@ const progressChunks = 64
 // hooks set — the historical path, zero behavior change) or in up to
 // progressChunks bounded chunks, reporting base+span*done/cycles after
 // each. Chunked execution is cycle-for-cycle identical to a single Run:
-// the engine's idle-cycle skip restarts at each chunk boundary and the
-// skipped steps are no-ops, so only the observation points differ.
+// the engine steps every cycle either way, so only the observation points
+// differ.
 // measuring gates the OnStats hook to the measurement window, where the
 // counters mean something.
 func runChunked(sys *core.System, j Job, rec *prof.Recorder, cycles uint64, base, span float64, measuring bool) {

@@ -7,9 +7,9 @@ import "repro/internal/digest"
 // overdue list — into the engine lane. It runs from a digest ticker,
 // i.e. after the current cycle's bucket has been drained and cleared,
 // so the scan observes exactly the events still scheduled for future
-// cycles. Event handlers and closures are folded by presence only
-// (function pointers are host addresses, not simulator state); their
-// ordering and timing are pinned by (at, seq, kind).
+// cycles. Event handlers are not folded (they are host addresses, not
+// simulator state); events' ordering and timing are pinned by
+// (at, seq, kind).
 func (e *Engine) DigestFold(r *digest.Recorder) {
 	r.Fold(e.cycle)
 	r.Fold(e.seq)
@@ -34,5 +34,4 @@ func foldEvent(r *digest.Recorder, ev *event) {
 	r.Fold(ev.at)
 	r.Fold(ev.seq)
 	r.Fold(uint64(ev.kind))
-	r.FoldBool(ev.fn != nil)
 }

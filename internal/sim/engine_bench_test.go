@@ -23,8 +23,8 @@ func (h legacyHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h legacyHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *legacyHeap) Push(x any)        { *h = append(*h, x.(*legacyEvent)) }
+func (h legacyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *legacyHeap) Push(x any)   { *h = append(*h, x.(*legacyEvent)) }
 func (h *legacyHeap) Pop() any {
 	old := *h
 	n := len(old) - 1
@@ -72,20 +72,6 @@ func BenchmarkEventQueue(b *testing.B) {
 				q.after(benchDelays[rng>>61], fn)
 			}
 			q.step()
-		}
-	})
-	b.Run("wheel", func(b *testing.B) {
-		e := NewEngine()
-		fn := func() {}
-		rng := uint64(1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for k := 0; k < 4; k++ {
-				rng = rng*6364136223846793005 + 1442695040888963407
-				e.After(benchDelays[rng>>61], fn)
-			}
-			e.Step()
 		}
 	})
 	b.Run("wheel-typed", func(b *testing.B) {

@@ -2,6 +2,23 @@ package sim
 
 import "testing"
 
+// TickerFunc adapts a plain function to the Ticker interface.
+type TickerFunc func(cycle uint64)
+
+// Tick calls the function.
+func (f TickerFunc) Tick(cycle uint64) { f(cycle) }
+
+// funcHandler is a Handler whose event data is the callback to run, so the
+// ordering tests can schedule inline closures through AfterEvent.
+type funcHandler struct{}
+
+func (funcHandler) HandleEvent(_ uint8, data any) { data.(func())() }
+
+// after schedules fn delay cycles from now through AfterEvent.
+func after(e *Engine, delay uint64, fn func()) {
+	e.AfterEvent(delay, funcHandler{}, 0, fn)
+}
+
 func TestEngineClock(t *testing.T) {
 	e := NewEngine()
 	if e.Now() != 0 {
@@ -16,9 +33,9 @@ func TestEngineClock(t *testing.T) {
 func TestEventOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.After(5, func() { order = append(order, 2) })
-	e.After(3, func() { order = append(order, 1) })
-	e.After(5, func() { order = append(order, 3) }) // same cycle, later schedule
+	after(e, 5, func() { order = append(order, 2) })
+	after(e, 3, func() { order = append(order, 1) })
+	after(e, 5, func() { order = append(order, 3) }) // same cycle, later schedule
 	e.Run(10)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -28,7 +45,7 @@ func TestEventOrdering(t *testing.T) {
 func TestEventFiresAtExactCycle(t *testing.T) {
 	e := NewEngine()
 	var fired uint64
-	e.After(7, func() { fired = e.Now() })
+	after(e, 7, func() { fired = e.Now() })
 	e.Run(20)
 	if fired != 7 {
 		t.Fatalf("event fired at %d, want 7", fired)
@@ -38,7 +55,7 @@ func TestEventFiresAtExactCycle(t *testing.T) {
 func TestZeroDelayEventRunsNextStep(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.After(0, func() { ran = true })
+	after(e, 0, func() { ran = true })
 	e.Step()
 	if !ran {
 		t.Fatal("zero-delay event must run on the next Step")
@@ -48,24 +65,13 @@ func TestZeroDelayEventRunsNextStep(t *testing.T) {
 func TestEventMayScheduleSameCycle(t *testing.T) {
 	e := NewEngine()
 	var hits []uint64
-	e.After(2, func() {
+	after(e, 2, func() {
 		hits = append(hits, e.Now())
-		e.After(0, func() { hits = append(hits, e.Now()) })
+		after(e, 0, func() { hits = append(hits, e.Now()) })
 	})
 	e.Run(5)
 	if len(hits) != 2 || hits[0] != 2 || hits[1] != 2 {
 		t.Fatalf("hits = %v, want [2 2]", hits)
-	}
-}
-
-func TestAtClampsPast(t *testing.T) {
-	e := NewEngine()
-	e.Run(5)
-	ran := false
-	e.At(2, func() { ran = true }) // in the past
-	e.Step()
-	if !ran {
-		t.Fatal("past-scheduled event must fire on next Step")
 	}
 }
 
@@ -87,36 +93,17 @@ func TestEventsBeforeTickersWithinStep(t *testing.T) {
 			order = append(order, "tick")
 		}
 	}))
-	e.After(1, func() { order = append(order, "event") })
+	after(e, 1, func() { order = append(order, "event") })
 	e.Run(3)
 	if len(order) != 2 || order[0] != "event" || order[1] != "tick" {
 		t.Fatalf("order = %v, want [event tick]", order)
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	done := false
-	e.After(4, func() { done = true })
-	if !e.RunUntil(func() bool { return done }, 100) {
-		t.Fatal("RunUntil should have succeeded")
-	}
-	if e.Now() > 6 {
-		t.Fatalf("ran too long: %d", e.Now())
-	}
-	e2 := NewEngine()
-	if e2.RunUntil(func() bool { return false }, 50) {
-		t.Fatal("RunUntil should have hit the limit")
-	}
-	if e2.Now() != 50 {
-		t.Fatalf("limit stop at %d, want 50", e2.Now())
-	}
-}
-
 func TestPending(t *testing.T) {
 	e := NewEngine()
-	e.After(1, func() {})
-	e.After(2, func() {})
+	after(e, 1, func() {})
+	after(e, 2, func() {})
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", e.Pending())
 	}

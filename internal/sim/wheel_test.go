@@ -5,17 +5,17 @@ import (
 )
 
 // Timing-wheel-specific coverage: delays beyond the wheel horizon, overflow
-// migration ordering, overdue events, idle-cycle skipping, and the
-// zero-allocation guarantees the hot paths rely on.
+// migration ordering, overdue events, and the zero-allocation guarantee the
+// hot path relies on.
 
 func TestOverflowDelayBeyondWheel(t *testing.T) {
 	e := NewEngine()
 	var fired []uint64
 	// MemoryCycles-style delay, far past the 256-cycle wheel horizon.
-	e.After(1000, func() { fired = append(fired, e.Now()) })
-	e.After(300, func() { fired = append(fired, e.Now()) })
-	e.After(wheelSize, func() { fired = append(fired, e.Now()) }) // first overflow cycle
-	e.After(wheelSize-1, func() { fired = append(fired, e.Now()) })
+	after(e, 1000, func() { fired = append(fired, e.Now()) })
+	after(e, 300, func() { fired = append(fired, e.Now()) })
+	after(e, wheelSize, func() { fired = append(fired, e.Now()) }) // first overflow cycle
+	after(e, wheelSize-1, func() { fired = append(fired, e.Now()) })
 	e.Run(1100)
 	want := []uint64{wheelSize - 1, wheelSize, 300, 1000}
 	if len(fired) != len(want) {
@@ -33,7 +33,7 @@ func TestOverflowSameCycleKeepsScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.After(500, func() { order = append(order, i) })
+		after(e, 500, func() { order = append(order, i) })
 	}
 	e.Run(600)
 	for i, v := range order {
@@ -50,9 +50,9 @@ func TestOverflowMigrationBehindDirectInsert(t *testing.T) {
 	// Migration must insert the older event in front of it.
 	e := NewEngine()
 	var order []int
-	e.After(300, func() { order = append(order, 1) })
+	after(e, 300, func() { order = append(order, 1) })
 	e.Run(300 - wheelSize + 1)
-	e.After(wheelSize-1, func() { order = append(order, 2) }) // also cycle 300
+	after(e, wheelSize-1, func() { order = append(order, 2) }) // also cycle 300
 	e.Run(300)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("order = %v, want [1 2]", order)
@@ -67,10 +67,10 @@ func TestWheelWrapsRepeatedly(t *testing.T) {
 	step = func() {
 		fired = append(fired, e.Now())
 		if len(fired) < 8 {
-			e.After(100, step)
+			after(e, 100, step)
 		}
 	}
-	e.After(100, step)
+	after(e, 100, step)
 	e.Run(1000)
 	if len(fired) != 8 {
 		t.Fatalf("fired %d times: %v", len(fired), fired)
@@ -83,121 +83,22 @@ func TestWheelWrapsRepeatedly(t *testing.T) {
 }
 
 func TestZeroDelayFromTickerFiresBeforeNextBucket(t *testing.T) {
-	// An After(0) issued during the ticker phase of cycle 5 carries cycle
+	// A zero-delay event issued during the ticker phase of cycle 5 carries cycle
 	// stamp 5; it must fire at the start of Step 6 ahead of events scheduled
 	// for cycle 6 (matching the old heap's (cycle, seq) order).
 	e := NewEngine()
 	var order []string
-	e.After(6, func() { order = append(order, "six") })
+	after(e, 6, func() { order = append(order, "six") })
 	done := false
 	e.Register(TickerFunc(func(c uint64) {
 		if c == 5 && !done {
 			done = true
-			e.After(0, func() { order = append(order, "late5") })
+			after(e, 0, func() { order = append(order, "late5") })
 		}
 	}))
 	e.Run(10)
 	if len(order) != 2 || order[0] != "late5" || order[1] != "six" {
 		t.Fatalf("order = %v, want [late5 six]", order)
-	}
-}
-
-// busyBox is an IdleTicker that does work only while a countdown is armed
-// (by an event), recording the cycles on which it was busy.
-type busyBox struct {
-	remaining int
-	log       []uint64
-}
-
-func (b *busyBox) Tick(c uint64) {
-	if b.remaining > 0 {
-		b.log = append(b.log, c)
-		b.remaining--
-	}
-}
-
-func (b *busyBox) Idle() bool { return b.remaining == 0 }
-
-// runBusySchedule drives one engine through a fixed event schedule and
-// returns the cycles on which the ticker did work.
-func runBusySchedule(skip bool) ([]uint64, uint64) {
-	e := NewEngine()
-	b := &busyBox{}
-	e.Register(b)
-	e.SetIdleSkip(skip)
-	e.After(10, func() { b.remaining = 3 })
-	e.After(100, func() { b.remaining = 2 })
-	e.After(400, func() { b.remaining = 1 }) // via the overflow heap
-	e.Run(500)
-	return b.log, e.Now()
-}
-
-func TestIdleSkipEquivalence(t *testing.T) {
-	got, gotNow := runBusySchedule(true)
-	want, wantNow := runBusySchedule(false)
-	if gotNow != wantNow {
-		t.Fatalf("Now: skip=%d noskip=%d", gotNow, wantNow)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("busy cycles: skip=%v noskip=%v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("busy cycles: skip=%v noskip=%v", got, want)
-		}
-	}
-	wantCycles := []uint64{10, 11, 12, 100, 101, 400}
-	for i, c := range wantCycles {
-		if want[i] != c {
-			t.Fatalf("reference run busy at %v, want %v", want, wantCycles)
-		}
-	}
-}
-
-// clockBox models the fabric: its idle Tick still records the clock, which
-// events read the following cycle (packet injection timestamps).
-type clockBox struct{ last uint64 }
-
-func (b *clockBox) Tick(c uint64) { b.last = c }
-func (b *clockBox) Idle() bool    { return true }
-
-func TestSkipTicksFinalCycleBeforeEvent(t *testing.T) {
-	e := NewEngine()
-	cb := &clockBox{last: ^uint64(0)}
-	e.Register(cb)
-	var seen uint64
-	e.After(100, func() { seen = cb.last })
-	e.Run(200)
-	// In unskipped execution the last tick before the cycle-100 event phase
-	// is Tick(99); skipping must preserve that view.
-	if seen != 99 {
-		t.Fatalf("event saw ticker clock %d, want 99", seen)
-	}
-	if cb.last != 199 {
-		t.Fatalf("final ticker clock %d, want 199", cb.last)
-	}
-}
-
-func TestPlainTickerDisablesSkip(t *testing.T) {
-	e := NewEngine()
-	ticks := 0
-	e.Register(TickerFunc(func(uint64) { ticks++ }))
-	e.Run(100)
-	if ticks != 100 {
-		t.Fatalf("ticked %d of 100 cycles with a non-idling ticker", ticks)
-	}
-}
-
-func TestSkipWithNoEvents(t *testing.T) {
-	e := NewEngine()
-	cb := &clockBox{}
-	e.Register(cb)
-	e.Run(10_000_000) // would take a while if actually stepped
-	if e.Now() != 10_000_000 {
-		t.Fatalf("Now = %d", e.Now())
-	}
-	if cb.last != 10_000_000-1 {
-		t.Fatalf("final ticker clock %d, want %d", cb.last, 10_000_000-1)
 	}
 }
 
@@ -221,21 +122,5 @@ func TestAfterEventStepZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("AfterEvent+Step allocates %.1f objects/op, want 0", avg)
-	}
-}
-
-func TestAfterPreboundStepZeroAllocs(t *testing.T) {
-	e := NewEngine()
-	fn := func() {}
-	for i := 0; i < 2*wheelSize; i++ {
-		e.After(1, fn)
-		e.Step()
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		e.After(1, fn)
-		e.Step()
-	})
-	if avg != 0 {
-		t.Errorf("After(prebound)+Step allocates %.1f objects/op, want 0", avg)
 	}
 }

@@ -229,14 +229,6 @@ func (r Region) Contains(addr cache.LineAddr) bool {
 	return frame>>frameBits == r.id
 }
 
-// mix64 is SplitMix64's finalizer: a fixed avalanche permutation.
-func mix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // coldCodeLines sizes the cold tail of the code region: rarely-executed
 // paths whose fetches always miss the L1I. Fetches draw from a
 // coldWindowLines-wide working window that drifts one page every

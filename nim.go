@@ -356,8 +356,8 @@ func (s *Simulation) AttachDTM(interval uint64) (*DTMController, error) {
 // window (ResetStats resets the recorder's aggregates along with the other
 // statistics). Give the recorder a trace sink (SpanRecorder.SetSink) to
 // stream each attributed interval as an EvSpan TraceEvent; WriteChromeTrace
-// renders those as per-CPU Perfetto span tracks. Recording is pooled and
-// keeps idle-cycle skipping engaged; an unattached simulation pays nothing.
+// renders those as per-CPU Perfetto span tracks. Recording is pooled; an
+// unattached simulation pays nothing.
 func (s *Simulation) AttachSpans() *SpanRecorder {
 	return s.sys.AttachSpans()
 }
@@ -430,9 +430,7 @@ type DigestRecord = digest.Record
 // carry the digest columns. Results gains the Digests report. Digesting
 // is a pure observation — Results (Digests field aside) are
 // bit-identical to an unattached run — and the record path is
-// allocation-free in steady state. A registered recorder switches
-// idle-cycle skipping off, since it must see every snapshot cycle.
-// Idempotent.
+// allocation-free in steady state. Idempotent.
 func (s *Simulation) AttachDigest(interval uint64) *DigestRecorder {
 	return s.sys.AttachDigest(interval)
 }

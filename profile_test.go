@@ -82,8 +82,8 @@ func TestProfileReportSanity(t *testing.T) {
 	if math.Abs(shares-1) > 0.02 {
 		t.Errorf("phase shares sum to %.4f, want ~1 (the engine residual closes the budget)", shares)
 	}
-	if netCount != p.Steps {
-		t.Errorf("net-serial phase has %d samples, want one per executed step (%d)", netCount, p.Steps)
+	if netCount != p.Cycles {
+		t.Errorf("net-serial phase has %d samples, want one per cycle (%d)", netCount, p.Cycles)
 	}
 	if p.Host.NumCPU <= 0 || p.Host.GoVersion == "" {
 		t.Errorf("host provenance incomplete: %+v", p.Host)
